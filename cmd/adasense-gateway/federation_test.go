@@ -862,3 +862,29 @@ func mustWalkSchedule(t *testing.T) *adasense.Schedule {
 	}
 	return sched
 }
+
+// TestFederationStatePutAheadOfMembership: a state PUT from the replica
+// this ring still places the device on comes from a sender that applied
+// a membership change this replica has not. It must get a transient 503
+// (the sender's retries then land once this replica catches up), not a
+// 410 that drops the state, and it is no stale route.
+func TestFederationStatePutAheadOfMembership(t *testing.T) {
+	a, _ := newFederatedFleet(t, "")
+	id := deviceOwnedBy(t, a.cluster, "gw-b")
+	req, err := http.NewRequest(http.MethodPut, a.base+"/v1/session-state/"+id, strings.NewReader("ADSS"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(adasense.ReplicatedHeader, "gw-b")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("state PUT from the ring's own owner = %d, want 503", resp.StatusCode)
+	}
+	if got := a.gw.Stats().StaleRoutes; got != 0 {
+		t.Fatalf("StaleRoutes = %d, want 0", got)
+	}
+}

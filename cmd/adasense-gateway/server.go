@@ -70,16 +70,18 @@ type errorJSON struct {
 	Error string `json:"error"`
 }
 
-func (b *batchJSON) toBatch() (*adasense.Batch, error) {
+// toBatch validates b and fills dst with it; dst aliases b's slices.
+func (b *batchJSON) toBatch(dst *adasense.Batch) error {
 	cfg, err := adasense.ParseConfig(b.Config)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(b.X) == 0 || len(b.X) != len(b.Y) || len(b.X) != len(b.Z) {
-		return nil, fmt.Errorf("batch needs equal-length non-empty x/y/z (got %d/%d/%d)",
+		return fmt.Errorf("batch needs equal-length non-empty x/y/z (got %d/%d/%d)",
 			len(b.X), len(b.Y), len(b.Z))
 	}
-	return &adasense.Batch{Config: cfg, StartAt: b.StartAt, X: b.X, Y: b.Y, Z: b.Z}, nil
+	*dst = adasense.Batch{Config: cfg, StartAt: b.StartAt, X: b.X, Y: b.Y, Z: b.Z}
+	return nil
 }
 
 // server is the HTTP front end over one Gateway, optionally federated
@@ -466,12 +468,9 @@ func (s *server) handlePush(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var bj batchJSON
-	if err := decodeJSON(w, r, &bj); err != nil {
-		writeError(w, fmt.Errorf("decoding batch: %w", err))
-		return
-	}
-	batch, err := bj.toBatch()
+	d := getBatchDecoder()
+	defer d.release()
+	batch, err := d.readBatch(http.MaxBytesReader(w, r.Body, maxJSONBytes))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -516,12 +515,9 @@ func (s *server) handleClose(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *server) handleClassify(w http.ResponseWriter, r *http.Request) {
-	var bj batchJSON
-	if err := decodeJSON(w, r, &bj); err != nil {
-		writeError(w, fmt.Errorf("decoding batch: %w", err))
-		return
-	}
-	batch, err := bj.toBatch()
+	d := getBatchDecoder()
+	defer d.release()
+	batch, err := d.readBatch(http.MaxBytesReader(w, r.Body, maxJSONBytes))
 	if err != nil {
 		writeError(w, err)
 		return
@@ -766,7 +762,9 @@ func (s *server) handleStateGet(w http.ResponseWriter, r *http.Request) {
 // this replica's ring
 // owns (anything else is a stale route: the sender decided on an older
 // membership generation, and the device will be adopted by its real
-// owner instead). A rejected container — bad bytes (400), a live
+// owner instead — unless this ring still places the device on the
+// sender, which means this replica is the one lagging: 503, retried).
+// A rejected container — bad bytes (400), a live
 // session already minted by the device's own traffic (409), a model-
 // generation mismatch (409) — needs no cleanup on the sender: the
 // device simply adopts cold here on its next push.
@@ -779,7 +777,16 @@ func (s *server) handleStatePut(w http.ResponseWriter, r *http.Request) {
 	}
 	s.observePeerGen(r, peer)
 	id := r.PathValue("id")
-	if !s.cluster.Owns(id) {
+	if to, local := s.cluster.Route(id); !local {
+		if to.ID == peer {
+			// This ring still places the device on the sender, which is
+			// handing it off under a membership change this replica has
+			// not applied yet. 503 is transient: the sender retries until
+			// this replica catches up, instead of the state being dropped.
+			writeJSON(w, http.StatusServiceUnavailable, errorJSON{Error: fmt.Sprintf(
+				"%q still belongs to %q here: membership change not applied yet", id, peer)})
+			return
+		}
 		s.cluster.MarkStaleRoute()
 		writeError(w, fmt.Errorf("%w: %q is not owned here (stale route)",
 			adasense.ErrSessionClosed, id))

@@ -36,10 +36,13 @@ type streamServer struct {
 
 	// mu guards conns and closed: Shutdown says goodbye to every live
 	// connection exactly once, and connections arriving after shutdown
-	// are refused at the door.
+	// are refused at the door. live counts the connections admitted
+	// through the door until their handlers return, so Shutdown returns
+	// only once every one is closed and counted closed.
 	mu     sync.Mutex
 	conns  map[*streamConn]struct{}
 	closed bool
+	live   sync.WaitGroup
 }
 
 // streamConn is one live ADSP connection's server-side state.
@@ -64,7 +67,7 @@ func newStreamServer(s *server) *streamServer {
 		conns: make(map[*streamConn]struct{}),
 	}
 	ss.batcher = stream.NewBatcher(runtime.GOMAXPROCS(0), streamBatcherQueue,
-		ss.tel.BatcherFlush,
+		ss.tel.BatcherRun,
 		func(d time.Duration) { s.gw.ObserveStage(telemetry.StageAdmit, d) })
 	return ss
 }
@@ -110,6 +113,7 @@ func (ss *streamServer) ServeConn(rwc io.ReadWriteCloser) {
 		return
 	}
 	ss.conns[c] = struct{}{}
+	ss.live.Add(1)
 	ss.mu.Unlock()
 	ss.tel.ConnOpened()
 	defer func() {
@@ -118,14 +122,16 @@ func (ss *streamServer) ServeConn(rwc io.ReadWriteCloser) {
 		ss.mu.Unlock()
 		ss.tel.ConnClosed()
 		rwc.Close()
+		ss.live.Done()
 	}()
 	ss.serve(c)
 }
 
 // Shutdown refuses new connections, says goodbye to every live one,
-// and drains the admission batcher. Called on the signal path before
-// Gateway.Drain so devices see a clean draining close instead of
-// pushes failing against closing sessions.
+// drains the admission batcher, and returns once every connection
+// handler has exited. Called on the signal path before Gateway.Drain so
+// devices see a clean draining close instead of pushes failing against
+// closing sessions.
 func (ss *streamServer) Shutdown() {
 	ss.mu.Lock()
 	if ss.closed {
@@ -143,6 +149,7 @@ func (ss *streamServer) Shutdown() {
 		c.rwc.Close() // unblocks the session loop's blocking read
 	}
 	ss.batcher.Close()
+	ss.live.Wait()
 }
 
 // serve runs the handshake and session loop for one connection.

@@ -12,8 +12,8 @@ import (
 // feature-extraction working set (pipeline pool checkouts, DWT
 // workspaces, branch-predictor and cache state) stays hot across a
 // run instead of being re-faulted per request — that is where the
-// amortization lands, which the per-run hook and the admission-wait
-// stage timings make measurable.
+// amortization lands, which the per-task run hook and the
+// admission-wait stage timings make measurable.
 //
 // One connection submits at most one task at a time (ADSP acknowledges
 // each batch before the device sends the next), so per-device ordering
@@ -30,11 +30,13 @@ type Batcher struct {
 	mu     sync.RWMutex
 	closed bool
 
-	// onFlush, if set, observes each completed run with the number of
-	// tasks it coalesced; onWait observes each task's queue wait (the
-	// "admit" stage).
-	onFlush func(run int)
-	onWait  func(d time.Duration)
+	// onRun, if set, accounts each executed task to its run: coalesced
+	// is false for the task that starts a run and true for every task
+	// that rides it. It is called before the task's submitter is
+	// released, so once Submit returns the task is counted. onWait
+	// observes each task's queue wait (the "admit" stage).
+	onRun  func(coalesced bool)
+	onWait func(d time.Duration)
 }
 
 // Task is one submission's reusable handle. A connection allocates one
@@ -50,8 +52,8 @@ type Task struct {
 func NewTask() *Task { return &Task{done: make(chan struct{}, 1)} }
 
 // NewBatcher starts a batcher with the given worker count and queue
-// capacity (both forced to at least 1). onFlush and onWait may be nil.
-func NewBatcher(workers, queue int, onFlush func(run int), onWait func(d time.Duration)) *Batcher {
+// capacity (both forced to at least 1). onRun and onWait may be nil.
+func NewBatcher(workers, queue int, onRun func(coalesced bool), onWait func(d time.Duration)) *Batcher {
 	if workers < 1 {
 		workers = 1
 	}
@@ -59,10 +61,10 @@ func NewBatcher(workers, queue int, onFlush func(run int), onWait func(d time.Du
 		queue = 1
 	}
 	b := &Batcher{
-		ch:      make(chan *Task, queue),
-		stop:    make(chan struct{}),
-		onFlush: onFlush,
-		onWait:  onWait,
+		ch:     make(chan *Task, queue),
+		stop:   make(chan struct{}),
+		onRun:  onRun,
+		onWait: onWait,
 	}
 	b.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -115,47 +117,47 @@ func (b *Batcher) worker() {
 	for {
 		select {
 		case t := <-b.ch:
-			run := b.flush(t)
-			if b.onFlush != nil {
-				b.onFlush(run)
-			}
+			b.flush(t)
 		case <-b.stop:
 			// Shutdown drain: nothing new can be enqueued once stop is
-			// closed (Close holds the write lock first), so emptying the
-			// queue here is terminal.
-			for {
-				select {
-				case t := <-b.ch:
-					b.exec(t)
-				default:
-					return
-				}
+			// closed (Close holds the write lock first), so one last
+			// greedy run empties the queue for good.
+			select {
+			case t := <-b.ch:
+				b.flush(t)
+			default:
 			}
+			return
 		}
 	}
 }
 
 // flush executes t and then greedily drains whatever else has queued
-// behind it without blocking — one coalescing run.
-func (b *Batcher) flush(t *Task) int {
-	run := 1
-	b.exec(t)
+// behind it without blocking — one coalescing run. Each task is
+// released as soon as it has run; none waits for the rest of the run.
+func (b *Batcher) flush(t *Task) {
+	b.exec(t, false)
 	for {
 		select {
 		case t2 := <-b.ch:
-			b.exec(t2)
-			run++
+			b.exec(t2, true)
 		default:
-			return run
+			return
 		}
 	}
 }
 
-func (b *Batcher) exec(t *Task) {
+// exec runs t, accounts it to its run, and only then releases its
+// submitter. coalesced reports whether t rides a run another task
+// started.
+func (b *Batcher) exec(t *Task, coalesced bool) {
 	if b.onWait != nil {
 		b.onWait(time.Since(t.enq))
 	}
 	t.fn()
 	t.fn = nil
+	if b.onRun != nil {
+		b.onRun(coalesced)
+	}
 	t.done <- struct{}{}
 }

@@ -8,10 +8,15 @@ import (
 )
 
 func TestBatcherRunsEverySubmission(t *testing.T) {
-	var flushes, coalesced atomic.Int64
+	var flushes, covered atomic.Int64
 	var waits atomic.Int64
 	b := NewBatcher(2, 64,
-		func(run int) { flushes.Add(1); coalesced.Add(int64(run)) },
+		func(coalesced bool) {
+			if !coalesced {
+				flushes.Add(1)
+			}
+			covered.Add(1)
+		},
 		func(d time.Duration) {
 			if d < 0 {
 				t.Error("negative queue wait")
@@ -42,7 +47,7 @@ func TestBatcherRunsEverySubmission(t *testing.T) {
 		t.Fatalf("onWait saw %d tasks, want %d", got, devices*pushes)
 	}
 	// Every task belongs to exactly one flush run.
-	if got := coalesced.Load(); got != devices*pushes {
+	if got := covered.Load(); got != devices*pushes {
 		t.Fatalf("flush runs covered %d tasks, want %d", got, devices*pushes)
 	}
 	if flushes.Load() < 1 || flushes.Load() > devices*pushes {
@@ -53,8 +58,8 @@ func TestBatcherRunsEverySubmission(t *testing.T) {
 func TestBatcherCoalesces(t *testing.T) {
 	// One worker, one slow first task: everything submitted while it
 	// runs must drain in a single greedy run.
-	runs := make(chan int, 16)
-	b := NewBatcher(1, 64, func(run int) { runs <- run }, nil)
+	execs := make(chan bool, 16)
+	b := NewBatcher(1, 64, func(coalesced bool) { execs <- coalesced }, nil)
 	defer b.Close()
 
 	gate := make(chan struct{})
@@ -85,7 +90,16 @@ func TestBatcherCoalesces(t *testing.T) {
 	if got := executed.Load(); got != queued {
 		t.Fatalf("executed %d, want %d", got, queued)
 	}
-	if run := <-runs; run != 1+queued {
+	// Every task is accounted before its submitter returns, so the
+	// whole first run is already in execs.
+	if first := <-execs; first {
+		t.Fatal("first task reported as coalesced")
+	}
+	run := 1
+	for len(execs) > 0 && <-execs {
+		run++
+	}
+	if run != 1+queued {
 		t.Fatalf("first flush coalesced %d tasks, want %d", run, 1+queued)
 	}
 }

@@ -52,12 +52,14 @@ func (c *StreamCounters) FrameOut(typ uint8) {
 // RedirectSent records one device redirected to its ring owner.
 func (c *StreamCounters) RedirectSent() { c.redirects.Add(1) }
 
-// BatcherFlush records one admission-batcher run that executed n
-// coalesced tasks back to back.
-func (c *StreamCounters) BatcherFlush(n int) {
-	c.batcherFlushes.Add(1)
-	if n > 1 {
-		c.batcherCoalesced.Add(uint64(n - 1))
+// BatcherRun accounts one task executed by the admission batcher: a
+// task that starts a run counts one flush, a task that rides a run
+// already under way counts one coalesced push.
+func (c *StreamCounters) BatcherRun(coalesced bool) {
+	if coalesced {
+		c.batcherCoalesced.Add(1)
+	} else {
+		c.batcherFlushes.Add(1)
 	}
 }
 

@@ -480,8 +480,8 @@ func run(cfg gatewayFlags) error {
 	go func() { errc <- srv.ListenAndServe() }()
 
 	// The raw-TCP ADSP listener shares the HTTP surface's streamServer,
-	// so both transports land in the same session loop, batcher and
-	// stream counters. See docs/streaming.md.
+	// so both transports land in the same session loop and stream
+	// counters. See docs/streaming.md.
 	var streamLn net.Listener
 	if cfg.streamAddr != "" {
 		streamLn, err = net.Listen("tcp", cfg.streamAddr)

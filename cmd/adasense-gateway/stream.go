@@ -5,7 +5,6 @@ import (
 	"io"
 	"net"
 	"net/http"
-	"runtime"
 	"sync"
 	"time"
 
@@ -23,16 +22,15 @@ import (
 //
 // Per connection the steady state allocates nothing: frames decode
 // through one stream.Reader into reused message structs, replies are
-// built in place in a reused write buffer, and the push closure is
-// created once at session bind. Pushes from all connections funnel
-// through one admission batcher whose coalescing keeps the
-// feature-extraction working set hot under concurrency; its queue wait
-// is the "admit" stage of the latency histograms, frame-payload decode
-// is the "decode" stage. docs/streaming.md is the protocol reference.
+// built in place in a reused write buffer, and each push runs on the
+// connection's own goroutine, exactly as an HTTP push runs on its
+// request's. ADSP acknowledges each batch before the device sends the
+// next, so one in-flight batch per connection is the only bound a
+// stream needs. Frame-payload decode is the "decode" stage of the
+// latency histograms. docs/streaming.md is the protocol reference.
 type streamServer struct {
-	s       *server
-	tel     *telemetry.StreamCounters
-	batcher *stream.Batcher
+	s   *server
+	tel *telemetry.StreamCounters
 
 	// mu guards conns and closed: Shutdown says goodbye to every live
 	// connection exactly once, and connections arriving after shutdown
@@ -55,21 +53,12 @@ type streamConn struct {
 	wbuf []byte
 }
 
-// streamBatcherQueue bounds tasks admitted but not yet running. One
-// connection submits at most one task at a time, so the queue acts as a
-// connection-concurrency window, not a per-device buffer.
-const streamBatcherQueue = 256
-
 func newStreamServer(s *server) *streamServer {
-	ss := &streamServer{
+	return &streamServer{
 		s:     s,
 		tel:   &telemetry.StreamCounters{},
 		conns: make(map[*streamConn]struct{}),
 	}
-	ss.batcher = stream.NewBatcher(runtime.GOMAXPROCS(0), streamBatcherQueue,
-		ss.tel.BatcherRun,
-		func(d time.Duration) { s.gw.ObserveStage(telemetry.StageAdmit, d) })
-	return ss
 }
 
 // handleWS is the GET /v1/stream route: WebSocket upgrade, then the
@@ -128,10 +117,10 @@ func (ss *streamServer) ServeConn(rwc io.ReadWriteCloser) {
 }
 
 // Shutdown refuses new connections, says goodbye to every live one,
-// drains the admission batcher, and returns once every connection
-// handler has exited. Called on the signal path before Gateway.Drain so
-// devices see a clean draining close instead of pushes failing against
-// closing sessions.
+// and returns once every connection handler — and with it every
+// in-flight push — has exited. Called on the signal path before
+// Gateway.Drain so devices see a clean draining close instead of
+// pushes failing against closing sessions.
 func (ss *streamServer) Shutdown() {
 	ss.mu.Lock()
 	if ss.closed {
@@ -148,7 +137,6 @@ func (ss *streamServer) Shutdown() {
 		ss.writeGoodbye(c, stream.CodeDraining, "gateway draining")
 		c.rwc.Close() // unblocks the session loop's blocking read
 	}
-	ss.batcher.Close()
 	ss.live.Wait()
 }
 
@@ -245,16 +233,12 @@ func (ss *streamServer) serve(c *streamConn) {
 	ss.writeWelcome(c, stream.Welcome{Config: lastCfg, ModelGen: gw.ModelGeneration(), Resumed: resumed})
 
 	// Session loop state, all reused across pushes: the batch and batch
-	// wrapper decode in place, the ack encodes in place, and the push
-	// closure is minted once — the steady-state push path allocates
-	// nothing on this side of the feature pipeline.
-	task := stream.NewTask()
+	// wrapper decode in place and the ack encodes in place — the
+	// steady-state push path allocates nothing on this side of the
+	// feature pipeline.
 	var batch stream.BatchMsg
 	var ack stream.EventsMsg
 	var ab adasense.Batch
-	var pushed []adasense.Event
-	var pushErr error
-	push := func() { pushed, pushErr = sess.Push(&ab) }
 
 	for {
 		f, err := rd.Next()
@@ -290,9 +274,9 @@ func (ss *streamServer) serve(c *streamConn) {
 				return
 			}
 			ab = adasense.Batch{Config: batch.Config, StartAt: batch.StartAt, X: batch.X, Y: batch.Y, Z: batch.Z}
-			ss.batcher.Submit(task, push)
-			if pushErr != nil {
-				if !ss.answerPushError(c, sess, device, batch.Seq, pushErr) {
+			pushed, err := sess.Push(&ab)
+			if err != nil {
+				if !ss.answerPushError(c, sess, device, batch.Seq, err) {
 					return
 				}
 				continue
@@ -484,10 +468,4 @@ func (ss *streamServer) writeMetrics(e *telemetry.Encoder) {
 		"Written outbound ADSP frames by type.", "type", frames(snap.FramesOut))
 	e.Counter("adasense_stream_redirects_total",
 		"Stream connections redirected to the device's owning replica.", snap.Redirects)
-	e.Counter("adasense_stream_batcher_flushes_total",
-		"Admission batcher runs (each executes one or more coalesced pushes).", snap.BatcherFlushes)
-	e.Counter("adasense_stream_batcher_coalesced_total",
-		"Pushes that rode an already-running batcher flush instead of starting one.", snap.BatcherCoalesced)
-	e.Gauge("adasense_stream_batcher_occupancy",
-		"Pushes admitted to the batcher queue but not yet executing.", float64(ss.batcher.Depth()))
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 
 	"adasense"
@@ -117,15 +119,80 @@ func BenchmarkStreamPushADSP(b *testing.B) {
 	benchStreamPush(b, ts.URL)
 }
 
-// BenchmarkStreamPushADSPTCP drives the raw-TCP listener behind
-// -stream-addr.
-func BenchmarkStreamPushADSPTCP(b *testing.B) {
-	_, h := benchServer(b)
+// benchStreamListener serves h's raw-TCP ADSP door on a loopback
+// listener and returns its tcp:// target.
+func benchStreamListener(b *testing.B, h *server) string {
+	b.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { ln.Close() })
 	go h.stream.Serve(ln)
-	benchStreamPush(b, "tcp://"+ln.Addr().String())
+	return "tcp://" + ln.Addr().String()
+}
+
+// BenchmarkStreamPushADSPTCP drives the raw-TCP listener behind
+// -stream-addr.
+func BenchmarkStreamPushADSPTCP(b *testing.B) {
+	_, h := benchServer(b)
+	benchStreamPush(b, benchStreamListener(b, h))
+}
+
+// BenchmarkStreamPushConcurrent is the stream push path under
+// concurrency: N devices, each on its own persistent connection, push
+// through one server at once. ns/op and allocs/op are per push, summed
+// over all connections (b.N pushes in total).
+func BenchmarkStreamPushConcurrent(b *testing.B) {
+	for _, transport := range []string{"tcp", "ws"} {
+		for _, conns := range []int{1, 4, 16, 64} {
+			b.Run(fmt.Sprintf("%s/conns=%d", transport, conns), func(b *testing.B) {
+				ts, h := benchServer(b)
+				target := ts.URL
+				if transport == "tcp" {
+					target = benchStreamListener(b, h)
+				}
+				benchStreamPushConcurrent(b, target, conns)
+			})
+		}
+	}
+}
+
+func benchStreamPushConcurrent(b *testing.B, target string, conns int) {
+	b.Helper()
+	raw := streamBatch(b)
+	clients := make([]*stream.Client, conns)
+	for i := range clients {
+		c, err := stream.Dial(context.Background(), target, fmt.Sprintf("bench-conc-%d", i), "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { c.Close() })
+		for j := 0; j < 8; j++ {
+			if _, err := c.Push(raw); err != nil {
+				b.Fatal(err)
+			}
+		}
+		clients[i] = c
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for i, c := range clients {
+		n := b.N / conns
+		if i < b.N%conns {
+			n++
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < n; j++ {
+				if _, err := c.Push(raw); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -332,5 +333,77 @@ func TestStreamFleetRebalance(t *testing.T) {
 	post := scrapeMetrics(t, servers["gw-a"].URL)
 	if post["adasense_stream_connections"] != 0 {
 		t.Errorf("stream connections gauge = %v after drain, want 0", post["adasense_stream_connections"])
+	}
+}
+
+// TestStreamShutdownSettlesGoroutines checks that the stream ingress
+// leaves nothing running behind it. With WebSocket and raw-TCP devices
+// connected mid-session, streamServer.Shutdown and the gateway drain
+// (then closing the listeners) must bring runtime.NumGoroutine back to
+// its pre-server baseline: no connection handler or push outlives the
+// drain.
+func TestStreamShutdownSettlesGoroutines(t *testing.T) {
+	sys := quickSystem(t)
+	batch := streamBatch(t)
+	baseline := runtime.NumGoroutine()
+
+	gw, err := adasense.NewGateway(sys,
+		adasense.WithServiceOptions(adasense.WithControllerFactory(func() adasense.Controller {
+			return adasense.NewBaselineController()
+		})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := newServer(gw, nil)
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	served := make(chan error, 1)
+	go func() { served <- h.stream.Serve(ln) }()
+
+	var clients []*stream.Client
+	for i := 0; i < 6; i++ {
+		target := ts.URL
+		if i%2 == 1 {
+			target = "tcp://" + ln.Addr().String()
+		}
+		c, err := stream.Dial(context.Background(), target, fmt.Sprintf("settle-%d", i), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for j := 0; j < 3; j++ {
+			if _, err := c.Push(batch); err != nil {
+				t.Fatalf("device %d push %d: %v", i, j, err)
+			}
+		}
+		clients = append(clients, c)
+	}
+
+	h.stream.Shutdown()
+	if err := gw.Drain(context.Background()); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	ln.Close()
+	if err := <-served; err != nil {
+		t.Fatalf("stream listener: %v", err)
+	}
+	ts.Close()
+	for _, c := range clients {
+		c.Close()
+	}
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines still running after shutdown and drain, baseline %d:\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

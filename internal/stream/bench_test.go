@@ -1,9 +1,6 @@
 package stream
 
-import (
-	"sync/atomic"
-	"testing"
-)
+import "testing"
 
 // benchBatch is a realistic push: 128 samples per axis at the F100
 // config, the batch size one classification window needs.
@@ -96,22 +93,4 @@ func BenchmarkStreamReaderNext(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkStreamBatcher measures admission throughput under
-// concurrent submitters — the coalescing path the streamed pushes
-// funnel through.
-func BenchmarkStreamBatcher(b *testing.B) {
-	var executed atomic.Int64
-	bt := NewBatcher(4, 256, nil, nil)
-	defer bt.Close()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		task := NewTask()
-		fn := func() { executed.Add(1) }
-		for pb.Next() {
-			bt.Submit(task, fn)
-		}
-	})
 }

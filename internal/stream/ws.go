@@ -70,8 +70,14 @@ type WSConn struct {
 	maskKey   [4]byte
 	maskOff   int
 
+	// Read scratch, reused across frames: header fields and control
+	// payloads decode here rather than into locals, which would escape
+	// through io.ReadFull and cost an allocation per frame.
+	rhdr [8]byte
+	ctl  [wsMaxControlPayload]byte
+
 	// wmu serializes writes: data writes with the inline pong replies
-	// the read side sends.
+	// the read side sends. wbuf is the reused frame-encoding buffer.
 	wmu  sync.Mutex
 	wbuf []byte
 }
@@ -110,8 +116,8 @@ func (c *WSConn) Read(p []byte) (int, error) {
 // nextFrame reads one frame header, dispatches control frames, and
 // arms the read state for a data frame.
 func (c *WSConn) nextFrame() error {
-	var h [2]byte
-	if _, err := io.ReadFull(c.br, h[:]); err != nil {
+	h := c.rhdr[:2]
+	if _, err := io.ReadFull(c.br, h); err != nil {
 		if err == io.ErrUnexpectedEOF {
 			return io.EOF
 		}
@@ -122,17 +128,17 @@ func (c *WSConn) nextFrame() error {
 	length := int64(h[1] & 0x7f)
 	switch length {
 	case 126:
-		var ext [2]byte
-		if _, err := io.ReadFull(c.br, ext[:]); err != nil {
+		ext := c.rhdr[:2]
+		if _, err := io.ReadFull(c.br, ext); err != nil {
 			return err
 		}
-		length = int64(binary.BigEndian.Uint16(ext[:]))
+		length = int64(binary.BigEndian.Uint16(ext))
 	case 127:
-		var ext [8]byte
-		if _, err := io.ReadFull(c.br, ext[:]); err != nil {
+		ext := c.rhdr[:8]
+		if _, err := io.ReadFull(c.br, ext); err != nil {
 			return err
 		}
-		l := binary.BigEndian.Uint64(ext[:])
+		l := binary.BigEndian.Uint64(ext)
 		if l > 1<<62 {
 			return fmt.Errorf("%w: absurd frame length", errWSProtocol)
 		}
@@ -140,9 +146,10 @@ func (c *WSConn) nextFrame() error {
 	}
 	var key [4]byte
 	if masked {
-		if _, err := io.ReadFull(c.br, key[:]); err != nil {
+		if _, err := io.ReadFull(c.br, c.rhdr[:4]); err != nil {
 			return err
 		}
+		key = [4]byte(c.rhdr[:4])
 	}
 	// A server must refuse unmasked client frames; a client must refuse
 	// masked server frames (RFC 6455 §5.1).
@@ -155,22 +162,22 @@ func (c *WSConn) nextFrame() error {
 		if length > wsMaxControlPayload {
 			return fmt.Errorf("%w: oversized control frame", errWSProtocol)
 		}
-		var payload [wsMaxControlPayload]byte
-		if _, err := io.ReadFull(c.br, payload[:length]); err != nil {
+		payload := c.ctl[:length]
+		if _, err := io.ReadFull(c.br, payload); err != nil {
 			return err
 		}
 		if masked {
-			for i := int64(0); i < length; i++ {
+			for i := range payload {
 				payload[i] ^= key[i&3]
 			}
 		}
 		switch opcode {
 		case wsOpClose:
 			// Best-effort close echo, then surface end of stream.
-			c.writeFrame(wsOpClose, payload[:length])
+			c.writeFrame(wsOpClose, payload)
 			return io.EOF
 		case wsOpPing:
-			return c.writeFrame(wsOpPong, payload[:length])
+			return c.writeFrame(wsOpPong, payload)
 		case wsOpPong:
 			return nil
 		}
@@ -197,48 +204,39 @@ func (c *WSConn) Write(p []byte) (int, error) {
 }
 
 // writeFrame writes one unfragmented frame, masking it on the client
-// side. The masked copy reuses one scratch buffer, so steady-state
-// writes do not allocate.
+// side. Header and payload are assembled in the reused write buffer and
+// leave in a single Write — one syscall per frame, no allocation in the
+// steady state.
 func (c *WSConn) writeFrame(opcode byte, p []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	var hdr [14]byte
-	hdr[0] = 0x80 | opcode // FIN set: never fragmented
-	n := 2
+	buf := append(c.wbuf[:0], 0x80|opcode, 0) // FIN set: never fragmented
 	switch {
 	case len(p) < 126:
-		hdr[1] = byte(len(p))
+		buf[1] = byte(len(p))
 	case len(p) <= 0xffff:
-		hdr[1] = 126
-		binary.BigEndian.PutUint16(hdr[2:], uint16(len(p)))
-		n = 4
+		buf[1] = 126
+		buf = binary.BigEndian.AppendUint16(buf, uint16(len(p)))
 	default:
-		hdr[1] = 127
-		binary.BigEndian.PutUint64(hdr[2:], uint64(len(p)))
-		n = 10
+		buf[1] = 127
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(p)))
 	}
-	body := p
 	if c.client {
-		hdr[1] |= 0x80
-		var key [4]byte
-		if _, err := rand.Read(key[:]); err != nil {
+		buf[1] |= 0x80
+		n := len(buf)
+		buf = append(append(buf, 0, 0, 0, 0), p...)
+		key, body := buf[n:n+4], buf[n+4:]
+		if _, err := rand.Read(key); err != nil {
 			return err
 		}
-		copy(hdr[n:], key[:])
-		n += 4
-		if cap(c.wbuf) < len(p) {
-			c.wbuf = make([]byte, len(p))
+		for i := range body {
+			body[i] ^= key[i&3]
 		}
-		c.wbuf = c.wbuf[:len(p)]
-		for i := range p {
-			c.wbuf[i] = p[i] ^ key[i&3]
-		}
-		body = c.wbuf
+	} else {
+		buf = append(buf, p...)
 	}
-	if _, err := c.conn.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err := c.conn.Write(body)
+	c.wbuf = buf
+	_, err := c.conn.Write(buf)
 	return err
 }
 

@@ -1,14 +1,17 @@
 package stream
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"crypto/rand"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -179,6 +182,138 @@ func TestDialWSRefusesTLS(t *testing.T) {
 	for _, target := range []string{"wss://example.invalid", "https://example.invalid"} {
 		if _, err := DialWS(ctx, target); err == nil {
 			t.Errorf("DialWS(%q) succeeded, want refusal", target)
+		}
+	}
+}
+
+// writeCounter is a net.Conn that counts its Write calls.
+type writeCounter struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes.Add(1)
+	return w.Conn.Write(p)
+}
+
+// countedPair returns both ends of a WebSocket connection over loopback
+// TCP, each end's net.Conn wrapped in a writeCounter.
+func countedPair(t *testing.T) (client, server *WSConn, cw, sw *writeCounter) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	accepted := make(chan net.Conn, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			t.Errorf("accept: %v", err)
+		}
+		accepted <- conn
+	}()
+	cc, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := <-accepted
+	if sc == nil {
+		t.FailNow()
+	}
+	cw, sw = &writeCounter{Conn: cc}, &writeCounter{Conn: sc}
+	client = &WSConn{conn: cw, br: bufio.NewReader(cw), client: true}
+	server = &WSConn{conn: sw, br: bufio.NewReader(sw)}
+	t.Cleanup(func() { cc.Close(); sc.Close() })
+	return client, server, cw, sw
+}
+
+// TestWSOneWritePerFrame pins the framing cost: every frame a WSConn
+// sends — data frames in all three length encodings, the pong answering
+// a ping, the close frame and its echo — reaches the network in exactly
+// one Write, on the masked client side and on the server side alike.
+func TestWSOneWritePerFrame(t *testing.T) {
+	client, server, cw, sw := countedPair(t)
+	type end struct {
+		name string
+		c    *WSConn
+		w    *writeCounter
+	}
+	ends := [2]end{{"client", client, cw}, {"server", server, sw}}
+
+	// Data frames, each direction.
+	for i, from := range ends {
+		to := ends[1-i]
+		for _, n := range []int{10, 300, 70_000} {
+			p := make([]byte, n)
+			rand.Read(p)
+			got := make([]byte, n)
+			read := make(chan error, 1)
+			go func() {
+				_, err := io.ReadFull(to.c, got)
+				read <- err
+			}()
+			before := from.w.writes.Load()
+			if _, err := from.c.Write(p); err != nil {
+				t.Fatalf("%s write %d: %v", from.name, n, err)
+			}
+			if err := <-read; err != nil {
+				t.Fatalf("%s read %d: %v", to.name, n, err)
+			}
+			if !bytes.Equal(got, p) {
+				t.Fatalf("%s -> %s: %d-byte payload corrupted", from.name, to.name, n)
+			}
+			if d := from.w.writes.Load() - before; d != 1 {
+				t.Errorf("%s data frame of %d bytes took %d writes, want 1", from.name, n, d)
+			}
+		}
+	}
+
+	// Pong: a ping ahead of a data frame is answered inline by the
+	// reading side's Read, in one write.
+	for i, from := range ends {
+		to := ends[1-i]
+		if err := from.c.writeFrame(wsOpPing, []byte("are you there")); err != nil {
+			t.Fatalf("%s ping: %v", from.name, err)
+		}
+		if _, err := from.c.Write([]byte{1}); err != nil {
+			t.Fatalf("%s write: %v", from.name, err)
+		}
+		before := to.w.writes.Load()
+		if _, err := io.ReadFull(to.c, make([]byte, 1)); err != nil {
+			t.Fatalf("%s read: %v", to.name, err)
+		}
+		if d := to.w.writes.Load() - before; d != 1 {
+			t.Errorf("%s pong took %d writes, want 1", to.name, d)
+		}
+		// Consume the pong on the pinging side, behind a data frame.
+		if _, err := to.c.Write([]byte{2}); err != nil {
+			t.Fatalf("%s write: %v", to.name, err)
+		}
+		if _, err := io.ReadFull(from.c, make([]byte, 1)); err != nil {
+			t.Fatalf("%s read past pong: %v", from.name, err)
+		}
+	}
+
+	// Close and its echo, closing from each side on a fresh pair.
+	for _, clientCloses := range []bool{true, false} {
+		client, server, cw, sw := countedPair(t)
+		closer, peer := end{"client", client, cw}, end{"server", server, sw}
+		if !clientCloses {
+			closer, peer = peer, closer
+		}
+		before := closer.w.writes.Load()
+		closer.c.Close()
+		if d := closer.w.writes.Load() - before; d != 1 {
+			t.Errorf("%s close took %d writes, want 1", closer.name, d)
+		}
+		before = peer.w.writes.Load()
+		if _, err := peer.c.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("%s read after close = %v, want io.EOF", peer.name, err)
+		}
+		if d := peer.w.writes.Load() - before; d != 1 {
+			t.Errorf("%s close echo took %d writes, want 1", peer.name, d)
 		}
 	}
 }

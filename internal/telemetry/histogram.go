@@ -190,16 +190,13 @@ const (
 	// StageDecode is one ADSP frame-payload decode on the streaming
 	// ingress (the binary counterpart of JSON body decoding).
 	StageDecode
-	// StageAdmit is a streamed push's wait in the admission batcher's
-	// queue before a worker ran it.
-	StageAdmit
 	// NumStages bounds the Stage enum; not a stage itself.
 	NumStages
 )
 
 var stageNames = [NumStages]string{
 	"auth", "rate_limit", "route", "forward", "extract", "classify",
-	"decode", "admit",
+	"decode",
 }
 
 // String returns the stage's label value as exposed on /metrics.

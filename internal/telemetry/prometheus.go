@@ -2,9 +2,7 @@ package telemetry
 
 import (
 	"io"
-	"math"
 	"strconv"
-	"strings"
 )
 
 // Encoder writes metrics in the Prometheus text exposition format
@@ -13,11 +11,14 @@ import (
 // the serving stack exports a fixed set of counters, gauges and
 // fixed-bucket histograms (labels limited to a single static pair plus
 // the histogram `le`), which is the corner of the format it implements.
+// Each metric family is rendered into one reused buffer and written in
+// one call, so a scrape allocates next to nothing.
 //
 // The first write error sticks: subsequent calls are no-ops and Err
 // returns it, so callers emit the whole exposition and check once.
 type Encoder struct {
 	w   io.Writer
+	buf []byte
 	err error
 }
 
@@ -31,12 +32,22 @@ func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
 // Counter emits one monotonically increasing series. By Prometheus
 // convention counter names end in _total.
 func (e *Encoder) Counter(name, help string, v uint64) {
-	e.series(name, help, "counter", strconv.FormatUint(v, 10))
+	if !e.header(name, help, "counter") {
+		return
+	}
+	e.buf = append(append(e.buf, name...), ' ')
+	e.buf = append(strconv.AppendUint(e.buf, v, 10), '\n')
+	e.flush()
 }
 
 // Gauge emits one point-in-time series.
 func (e *Encoder) Gauge(name, help string, v float64) {
-	e.series(name, help, "gauge", formatFloat(v))
+	if !e.header(name, help, "gauge") {
+		return
+	}
+	e.buf = append(append(e.buf, name...), ' ')
+	e.buf = append(appendFloat(e.buf, v), '\n')
+	e.flush()
 }
 
 // Label is one metric label pair. Values are escaped per the
@@ -50,17 +61,23 @@ type Label struct {
 // info-style series such as adasense_build_info, whose value is
 // constant 1 and whose payload lives in the labels.
 func (e *Encoder) GaugeWith(name, help string, labels []Label, v float64) {
-	if e.err != nil {
+	if !e.header(name, help, "gauge") {
 		return
 	}
-	var b strings.Builder
-	e.header(&b, name, help, "gauge")
-	b.WriteString(name)
-	writeLabels(&b, labels)
-	b.WriteByte(' ')
-	b.WriteString(formatFloat(v))
-	b.WriteByte('\n')
-	_, e.err = io.WriteString(e.w, b.String())
+	e.buf = append(e.buf, name...)
+	for i, l := range labels {
+		sep := byte(',')
+		if i == 0 {
+			sep = '{'
+		}
+		e.buf = appendLabel(append(e.buf, sep), l.Name, l.Value)
+	}
+	if len(labels) > 0 {
+		e.buf = append(e.buf, '}')
+	}
+	e.buf = append(e.buf, ' ')
+	e.buf = append(appendFloat(e.buf, v), '\n')
+	e.flush()
 }
 
 // CounterSample couples one label value with its counter reading —
@@ -75,16 +92,14 @@ type CounterSample struct {
 // over a single label — the shape of the per-frame-type stream
 // counters. HELP and TYPE are emitted once for the family.
 func (e *Encoder) CounterVec(name, help, labelName string, samples []CounterSample) {
-	if e.err != nil {
+	if !e.header(name, help, "counter") {
 		return
 	}
-	var b strings.Builder
-	e.header(&b, name, help, "counter")
 	for _, s := range samples {
-		writeSample(&b, name, []Label{{Name: labelName, Value: s.LabelValue}},
-			strconv.FormatUint(s.V, 10))
+		e.sample(name, "", labelName, s.LabelValue, "")
+		e.buf = append(strconv.AppendUint(e.buf, s.V, 10), '\n')
 	}
-	_, e.err = io.WriteString(e.w, b.String())
+	e.flush()
 }
 
 // HistogramSeries couples one label value with the distribution
@@ -96,108 +111,102 @@ type HistogramSeries struct {
 	H          HistogramSnapshot
 }
 
+// bucketLe holds the finite buckets' `le` label values, formatted once.
+var bucketLe = func() [NumBuckets]string {
+	var le [NumBuckets]string
+	for i, b := range bucketBounds {
+		le[i] = string(appendFloat(nil, b))
+	}
+	return le
+}()
+
 // Histogram emits one histogram metric family: for each series the
 // cumulative `le` buckets over the fixed BucketBounds layout, the
 // mandatory +Inf bucket, and the _sum and _count samples, each carrying
 // labelName=LabelValue. HELP and TYPE are emitted once for the family.
 func (e *Encoder) Histogram(name, help, labelName string, series []HistogramSeries) {
-	if e.err != nil {
+	if !e.header(name, help, "histogram") {
 		return
 	}
-	var b strings.Builder
-	e.header(&b, name, help, "histogram")
 	for _, s := range series {
-		labels := []Label{{Name: labelName, Value: s.LabelValue}}
 		cum := uint64(0)
-		for i, bound := range bucketBounds {
+		for i, le := range bucketLe {
 			cum += s.H.Bins[i]
-			writeSample(&b, name+"_bucket", append(labels, Label{Name: "le", Value: formatFloat(bound)}), strconv.FormatUint(cum, 10))
+			e.sample(name, "_bucket", labelName, s.LabelValue, le)
+			e.buf = append(strconv.AppendUint(e.buf, cum, 10), '\n')
 		}
 		// The +Inf bucket must equal _count; emit the snapshot's count so
 		// the invariant holds even if an Observe landed between bin reads.
-		writeSample(&b, name+"_bucket", append(labels, Label{Name: "le", Value: "+Inf"}), strconv.FormatUint(s.H.Count, 10))
-		writeSample(&b, name+"_sum", labels, formatFloat(s.H.SumSeconds))
-		writeSample(&b, name+"_count", labels, strconv.FormatUint(s.H.Count, 10))
+		e.sample(name, "_bucket", labelName, s.LabelValue, "+Inf")
+		e.buf = append(strconv.AppendUint(e.buf, s.H.Count, 10), '\n')
+		e.sample(name, "_sum", labelName, s.LabelValue, "")
+		e.buf = append(appendFloat(e.buf, s.H.SumSeconds), '\n')
+		e.sample(name, "_count", labelName, s.LabelValue, "")
+		e.buf = append(strconv.AppendUint(e.buf, s.H.Count, 10), '\n')
 	}
-	_, e.err = io.WriteString(e.w, b.String())
+	e.flush()
 }
 
 // Err returns the first write error, or nil.
 func (e *Encoder) Err() error { return e.err }
 
-// formatFloat renders a float64 sample value, honoring the format's
-// spellings for the IEEE specials.
-func formatFloat(v float64) string {
-	switch {
-	case math.IsNaN(v):
-		return "NaN"
-	case math.IsInf(v, +1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+// appendFloat renders a float64 sample value. strconv already spells
+// the IEEE specials the way the format wants: NaN, +Inf, -Inf.
+func appendFloat(b []byte, v float64) []byte {
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
-// labelEscaper escapes label values: backslash, double quote and
-// newline, per the exposition format.
-var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-
-// writeLabels renders {k="v",...}; no braces for an empty set.
-func writeLabels(b *strings.Builder, labels []Label) {
-	if len(labels) == 0 {
-		return
-	}
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
+// appendEscaped appends s with backslash and newline escaped, and the
+// double quote too when quote is set (label values; HELP text leaves
+// quotes alone), per the exposition format.
+func appendEscaped(b []byte, s string, quote bool) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c == '\\':
+			b = append(b, `\\`...)
+		case c == '\n':
+			b = append(b, `\n`...)
+		case c == '"' && quote:
+			b = append(b, `\"`...)
+		default:
+			b = append(b, c)
 		}
-		b.WriteString(l.Name)
-		b.WriteString(`="`)
-		labelEscaper.WriteString(b, l.Value)
-		b.WriteByte('"')
 	}
-	b.WriteByte('}')
+	return b
 }
 
-// writeSample renders one sample line.
-func writeSample(b *strings.Builder, name string, labels []Label, value string) {
-	b.WriteString(name)
-	writeLabels(b, labels)
-	b.WriteByte(' ')
-	b.WriteString(value)
-	b.WriteByte('\n')
+// appendLabel appends one name="value" pair.
+func appendLabel(b []byte, name, value string) []byte {
+	b = append(append(b, name...), `="`...)
+	return append(appendEscaped(b, value, true), '"')
 }
 
-// helpEscaper escapes HELP text per the exposition format: backslash and
-// newline only (double quotes are escaped only inside label values,
-// which this encoder does not emit).
-var helpEscaper = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-
-// header renders the # HELP and # TYPE preamble of one metric family.
-func (e *Encoder) header(b *strings.Builder, name, help, typ string) {
-	b.Grow(2*len(name) + len(help) + len(typ) + 32)
-	b.WriteString("# HELP ")
-	b.WriteString(name)
-	b.WriteByte(' ')
-	helpEscaper.WriteString(b, help)
-	b.WriteString("\n# TYPE ")
-	b.WriteString(name)
-	b.WriteByte(' ')
-	b.WriteString(typ)
-	b.WriteByte('\n')
+// sample starts one sample line of a single-label family, up to its
+// value: name+suffix{labelName="value"[,le="le"]} and the separating
+// space. The caller appends the value and the newline.
+func (e *Encoder) sample(name, suffix, labelName, value, le string) {
+	b := append(append(append(e.buf, name...), suffix...), '{')
+	b = appendLabel(b, labelName, value)
+	if le != "" {
+		b = appendLabel(append(b, ','), "le", le)
+	}
+	e.buf = append(b, "} "...)
 }
 
-func (e *Encoder) series(name, help, typ, value string) {
+// header starts a metric family in the reset buffer with its # HELP
+// and # TYPE preamble. It reports false once a write has failed.
+func (e *Encoder) header(name, help, typ string) bool {
 	if e.err != nil {
-		return
+		return false
 	}
-	var b strings.Builder
-	e.header(&b, name, help, typ)
-	b.WriteString(name)
-	b.WriteByte(' ')
-	b.WriteString(value)
-	b.WriteByte('\n')
-	_, e.err = io.WriteString(e.w, b.String())
+	e.buf = append(append(e.buf[:0], "# HELP "...), name...)
+	e.buf = appendEscaped(append(e.buf, ' '), help, false)
+	e.buf = append(append(e.buf, "\n# TYPE "...), name...)
+	e.buf = append(append(append(e.buf, ' '), typ...), '\n')
+	return true
+}
+
+// flush writes the rendered family.
+func (e *Encoder) flush() {
+	_, e.err = e.w.Write(e.buf)
 }

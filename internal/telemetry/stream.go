@@ -13,20 +13,16 @@ const NumFrameTypes = 16
 
 // StreamCounters is the streaming ingress's counter set, the ADSP
 // sibling of Counters: connection lifecycle, frames by type and
-// direction, ring redirects, and the admission batcher's coalescing
-// behavior. The zero value is ready to use; StreamCounters must not be
-// copied after first use. Owned by whichever layer runs the stream
-// listeners (the gateway command), and exported on /metrics as the
-// adasense_stream_* series.
+// direction, and ring redirects. The zero value is ready to use;
+// StreamCounters must not be copied after first use. Owned by whichever
+// layer runs the stream listeners (the gateway command), and exported
+// on /metrics as the adasense_stream_* series.
 type StreamCounters struct {
 	connsOpened atomic.Uint64
 	connsClosed atomic.Uint64
 	framesIn    [NumFrameTypes]atomic.Uint64
 	framesOut   [NumFrameTypes]atomic.Uint64
 	redirects   atomic.Uint64
-
-	batcherFlushes   atomic.Uint64
-	batcherCoalesced atomic.Uint64
 }
 
 // ConnOpened records one accepted stream connection (any transport).
@@ -52,17 +48,6 @@ func (c *StreamCounters) FrameOut(typ uint8) {
 // RedirectSent records one device redirected to its ring owner.
 func (c *StreamCounters) RedirectSent() { c.redirects.Add(1) }
 
-// BatcherRun accounts one task executed by the admission batcher: a
-// task that starts a run counts one flush, a task that rides a run
-// already under way counts one coalesced push.
-func (c *StreamCounters) BatcherRun(coalesced bool) {
-	if coalesced {
-		c.batcherCoalesced.Add(1)
-	} else {
-		c.batcherFlushes.Add(1)
-	}
-}
-
 // StreamSnapshot is a point-in-time copy of the stream counter set.
 // FramesIn/FramesOut are indexed by raw frame type byte; index 0 is
 // unused (no ADSP frame type is zero).
@@ -75,9 +60,6 @@ type StreamSnapshot struct {
 	FramesIn  [NumFrameTypes]uint64 `json:"frames_in"`
 	FramesOut [NumFrameTypes]uint64 `json:"frames_out"`
 	Redirects uint64                `json:"redirects"`
-
-	BatcherFlushes   uint64 `json:"batcher_flushes"`
-	BatcherCoalesced uint64 `json:"batcher_coalesced"`
 }
 
 // Snapshot returns a copy of the current counter values, with the same
@@ -87,11 +69,9 @@ func (c *StreamCounters) Snapshot() StreamSnapshot {
 	// two loads cannot make the derived live gauge go negative.
 	closed := c.connsClosed.Load()
 	s := StreamSnapshot{
-		ConnsOpened:      c.connsOpened.Load(),
-		ConnsClosed:      closed,
-		Redirects:        c.redirects.Load(),
-		BatcherFlushes:   c.batcherFlushes.Load(),
-		BatcherCoalesced: c.batcherCoalesced.Load(),
+		ConnsOpened: c.connsOpened.Load(),
+		ConnsClosed: closed,
+		Redirects:   c.redirects.Load(),
 	}
 	if s.ConnsOpened >= s.ConnsClosed {
 		s.ConnsLive = s.ConnsOpened - s.ConnsClosed

@@ -4,7 +4,7 @@
 # before it lands in a PR's single -race run.
 #
 #   ./scripts/stress.sh                 # -count=20 per package
-#   N=200 ./scripts/stress.sh -run Batcher
+#   N=200 ./scripts/stress.sh -run StreamShutdown
 #
 # N sets the -count (default 20); any further arguments go to go test.
 # The packages are the ones whose tests race goroutines against each
